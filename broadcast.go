@@ -255,15 +255,16 @@ func NewSteadySession(p *Platform, source int, opts *OptimalOptions) *SteadySess
 	return steady.NewSession(p, source, opts)
 }
 
-// Planning-service types: the concurrent fingerprint-keyed planning engine
+// Planning-service types: the concurrent content-keyed planning engine
 // behind the bcast-serve CLI.
 type (
 	// Fingerprint is the canonical content hash of a platform:
-	// permutation-invariant and byte-stable across runs; the plan cache key.
+	// permutation-invariant and byte-stable across runs. The plan cache
+	// indexes renumbered twins and delta-request bases by it.
 	Fingerprint = platform.Fingerprint
 	// PlanEngine is the concurrent planning engine: an LRU cache of solved
-	// plans and warm solver sessions keyed on platform fingerprints, over a
-	// bounded worker pool.
+	// plans and warm solver sessions keyed on the exact platform content,
+	// over a bounded worker pool.
 	PlanEngine = service.Engine
 	// PlanEngineConfig tunes a PlanEngine (cache size, workers, solver).
 	PlanEngineConfig = service.Config

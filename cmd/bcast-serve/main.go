@@ -1,5 +1,5 @@
 // Command bcast-serve runs the broadcast-planning service: an HTTP/JSON
-// server around the fingerprint-keyed planning engine. Repeated or
+// server around the content-keyed planning engine. Repeated or
 // near-duplicate platforms are answered from the plan cache (and warm solver
 // sessions) instead of being re-solved from scratch.
 //

@@ -154,30 +154,34 @@ type Report struct {
 // Errors returned by Run.
 var ErrBadTrace = errors.New("dynamic: trace does not apply to the platform")
 
-// policyState tracks one policy while the trace plays. The optimum-slice
-// accumulator lives once in Run (it is identical for every policy); only
-// the delivered slices differ per policy.
+// policyState tracks one policy while the trace plays.
 type policyState struct {
 	name       string
 	tree       *platform.Tree
 	throughput float64
 	delivered  float64
+	lost       float64
 	ratios     []float64
 	broken     int
 	reattached int
 }
 
-func (ps *policyState) advance(dt float64) {
+// advance plays dt time units at the policy's current rate against the
+// current optimum. The shortfall accrues per interval and never goes
+// negative: the optimum is only known to the solver's tolerance, so a tree
+// that measures a hair above it makes up no slices lost earlier.
+func (ps *policyState) advance(dt, optimal float64) {
 	if dt <= 0 {
 		return
 	}
-	if !math.IsInf(ps.throughput, 0) && !math.IsNaN(ps.throughput) {
-		ps.delivered += ps.throughput * dt
+	rate := ps.throughput
+	if math.IsInf(rate, 0) || math.IsNaN(rate) {
+		rate = 0
 	}
-}
-
-func (ps *policyState) lost(optimalAcc float64) float64 {
-	return math.Max(0, optimalAcc-ps.delivered)
+	ps.delivered += rate * dt
+	if !math.IsInf(optimal, 0) && !math.IsNaN(optimal) {
+		ps.lost += math.Max(0, optimal-rate) * dt
+	}
 }
 
 // Run plays the trace against a private clone of the platform and returns
@@ -236,15 +240,10 @@ func Run(base *platform.Platform, source int, trace *Trace, cfg Config) (*Report
 		{name: PolicyRebuild, tree: initial, throughput: initialTP},
 	}
 	optimal := sol.Throughput
-	optimalAcc := 0.0
 	now := 0.0
 	advanceAll := func(until float64) {
-		dt := until - now
-		if dt > 0 && !math.IsInf(optimal, 0) && !math.IsNaN(optimal) {
-			optimalAcc += optimal * dt
-		}
 		for _, ps := range states {
-			ps.advance(dt)
+			ps.advance(until-now, optimal)
 		}
 		now = until
 	}
@@ -319,7 +318,7 @@ func Run(base *platform.Platform, source int, trace *Trace, cfg Config) (*Report
 				ps.broken++
 			}
 			ps.ratios = append(ps.ratios, po.Ratio)
-			po.LostSlices = ps.lost(optimalAcc)
+			po.LostSlices = ps.lost
 			out.Policies = append(out.Policies, po)
 		}
 		rep.Events = append(rep.Events, out)
@@ -338,7 +337,7 @@ func Run(base *platform.Platform, source int, trace *Trace, cfg Config) (*Report
 			BrokenEvents:    ps.broken,
 			Reattached:      ps.reattached,
 			DeliveredSlices: ps.delivered,
-			LostSlices:      ps.lost(optimalAcc),
+			LostSlices:      ps.lost,
 			MinRatio:        math.Inf(1),
 		}
 		for _, r := range ps.ratios {

@@ -10,10 +10,12 @@ import (
 // different per-pivot cost model. Where the dense tableau rewrites every row
 // and column on each pivot (O(m·(n+m)) per pivot), Revised keeps the
 // constraint matrix in sparse column form and maintains only a factorization
-// of the basis: a dense LU of the small structural core (see factor.go) plus
-// a product-form eta file of recent pivots. Each pivot then costs two
-// factorization solves (FTRAN/BTRAN, O(k²) dense work for a core of k
-// structural basics) plus one sweep over the sparse columns for pricing —
+// of the basis: a sparse left-looking (Gilbert–Peierls) LU of the small
+// structural core (see factor.go) plus a product-form eta file of recent
+// pivots. Each pivot then costs two factorization solves (FTRAN/BTRAN,
+// sparse triangular solves in time near the factor nonzero count of a core
+// of k structural basics) plus one sweep over the sparse columns for
+// pricing —
 // on the cutting-plane masters of package steady, where most basic columns
 // are slacks, this is the difference between sweeps capped near n=96 and
 // sweeps that complete at n=1024.

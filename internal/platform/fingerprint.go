@@ -7,15 +7,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Fingerprint is a canonical content hash of a platform: two platforms that
 // describe the same communication structure — the same multiset of processors
 // and links with the same costs, slice size and live state, up to a
 // renumbering of nodes and links — fingerprint identically, and the hash is
-// byte-stable across processes and runs. The planning service keys its plan
-// cache and warm solver sessions on it.
+// byte-stable across processes and runs. The planning service indexes its
+// cached plans by it to recognize renumbered twins and to resolve the base
+// of delta requests.
 type Fingerprint [sha256.Size]byte
 
 // String returns the fingerprint as a lowercase hex string.
@@ -53,25 +54,33 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 // reordering link IDs therefore cannot change the result. As with any hash,
 // distinct platforms may in principle collide (structurally symmetric twins
 // are folded together by design); callers that need exact identity — such as
-// the plan cache — pair the fingerprint with the canonical encoding (or a
-// hash of it), which is numbering-exact.
+// the plan cache — key on the canonical encoding (or a hash of it), which is
+// numbering-exact and determines the fingerprint.
 func (p *Platform) Fingerprint() Fingerprint {
 	n := len(p.nodes)
+	// Every buffer is sized once up front and reused, so refinement never
+	// grows one: sigs holds one signature per link, the most a node's
+	// incident links or the final digest need; buf holds at most one node's
+	// digest input (its color plus its incident signatures, at most
+	// 32·(1+m) bytes) or the final digest input (24 + 32·(n+m) bytes).
 	colors := make([]Fingerprint, n)
+	next := make([]Fingerprint, n)
+	sigs := make([]Fingerprint, 0, len(p.links))
+	buf := make([]byte, 0, 24+sha256.Size*(n+len(p.links)))
+	seen := make(map[Fingerprint]struct{}, n)
 	for u := range p.nodes {
 		colors[u] = p.initialColor(u)
 	}
 
 	// Refine until the color partition stabilizes (the number of distinct
 	// colors stops growing), capped at n rounds as 1-WL guarantees.
-	prevClasses := countClasses(colors)
-	next := make([]Fingerprint, n)
+	prevClasses := countClasses(colors, seen)
 	for round := 0; round < n; round++ {
 		for u := range p.nodes {
-			next[u] = p.refineColor(u, colors)
+			next[u] = p.refineColor(u, colors, sigs, buf)
 		}
 		colors, next = next, colors
-		classes := countClasses(colors)
+		classes := countClasses(colors, seen)
 		if classes == prevClasses {
 			break
 		}
@@ -80,73 +89,90 @@ func (p *Platform) Fingerprint() Fingerprint {
 
 	// Final digest: slice size, counts, sorted node colors, sorted link
 	// signatures expressed in color space.
-	h := sha256.New()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(p.sliceSize))
-	h.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(n))
-	h.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(len(p.links)))
-	h.Write(buf[:])
-
-	sorted := make([]Fingerprint, n)
+	buf = binary.BigEndian.AppendUint64(buf[:0], math.Float64bits(p.sliceSize))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(p.links)))
+	sorted := next // free after the last round
 	copy(sorted, colors)
-	sortFingerprints(sorted)
-	for _, c := range sorted {
-		h.Write(c[:])
+	slices.SortFunc(sorted, compareFingerprints)
+	for i := range sorted {
+		buf = append(buf, sorted[i][:]...)
 	}
-
-	linkSigs := make([]Fingerprint, len(p.links))
-	for id, l := range p.links {
-		linkSigs[id] = hashTuple('L',
-			colors[l.From][:], colors[l.To][:],
-			f64(l.Cost.Latency), f64(l.Cost.PerUnit),
-			boolByte(p.LinkAlive(id)))
+	linkSigs := sigs[:len(p.links)]
+	for id := range p.links {
+		linkSigs[id] = p.linkSignature(id, colors)
 	}
-	sortFingerprints(linkSigs)
-	for _, s := range linkSigs {
-		h.Write(s[:])
+	slices.SortFunc(linkSigs, compareFingerprints)
+	for i := range linkSigs {
+		buf = append(buf, linkSigs[i][:]...)
 	}
-
-	var out Fingerprint
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
 }
+
+// The hashed tuples are fixed-width: a tag byte, then each field in order —
+// a float as its 8 big-endian IEEE-754 bytes, a flag as one byte, a color as
+// its 32 bytes.
+const (
+	nodeTupleLen = 1 + 4*8 + 1                 // 'N', send α/β, recv α/β, alive
+	arcTupleLen  = 1 + 2*8 + 1 + sha256.Size   // '>' or '<', cost α/β, alive, far-end color
+	linkTupleLen = 1 + 2*sha256.Size + 2*8 + 1 // 'L', from/to colors, cost α/β, alive
+)
 
 // initialColor hashes the node-local content: overhead costs and alive flag.
 func (p *Platform) initialColor(u int) Fingerprint {
-	nd := p.nodes[u]
-	return hashTuple('N',
-		f64(nd.Send.Latency), f64(nd.Send.PerUnit),
-		f64(nd.Recv.Latency), f64(nd.Recv.PerUnit),
-		boolByte(p.NodeAlive(u)))
+	nd := &p.nodes[u]
+	var t [nodeTupleLen]byte
+	t[0] = 'N'
+	putF64(t[1:], nd.Send.Latency)
+	putF64(t[9:], nd.Send.PerUnit)
+	putF64(t[17:], nd.Recv.Latency)
+	putF64(t[25:], nd.Recv.PerUnit)
+	t[33] = boolByte(p.NodeAlive(u))
+	return sha256.Sum256(t[:])
 }
 
 // refineColor re-hashes one node with the sorted signatures of its incident
-// links (direction, cost, alive flag, far-end color).
-func (p *Platform) refineColor(u int, colors []Fingerprint) Fingerprint {
-	sigs := make([]Fingerprint, 0, len(p.out[u])+len(p.in[u]))
+// links (direction, cost, alive flag, far-end color). sigs and buf are
+// scratch space with room for every incident link.
+func (p *Platform) refineColor(u int, colors, sigs []Fingerprint, buf []byte) Fingerprint {
+	sigs = sigs[:0]
 	for _, id := range p.out[u] {
-		l := p.links[id]
-		sigs = append(sigs, hashTuple('>',
-			f64(l.Cost.Latency), f64(l.Cost.PerUnit),
-			boolByte(p.LinkAlive(id)), colors[l.To][:]))
+		sigs = append(sigs, p.arcSignature('>', id, &colors[p.links[id].To]))
 	}
 	for _, id := range p.in[u] {
-		l := p.links[id]
-		sigs = append(sigs, hashTuple('<',
-			f64(l.Cost.Latency), f64(l.Cost.PerUnit),
-			boolByte(p.LinkAlive(id)), colors[l.From][:]))
+		sigs = append(sigs, p.arcSignature('<', id, &colors[p.links[id].From]))
 	}
-	sortFingerprints(sigs)
-	h := sha256.New()
-	h.Write(colors[u][:])
-	for _, s := range sigs {
-		h.Write(s[:])
+	slices.SortFunc(sigs, compareFingerprints)
+	buf = append(buf[:0], colors[u][:]...)
+	for i := range sigs {
+		buf = append(buf, sigs[i][:]...)
 	}
-	var out Fingerprint
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
+}
+
+// arcSignature hashes one incident link as seen from one of its endpoints.
+func (p *Platform) arcSignature(tag byte, id int, far *Fingerprint) Fingerprint {
+	l := &p.links[id]
+	var t [arcTupleLen]byte
+	t[0] = tag
+	putF64(t[1:], l.Cost.Latency)
+	putF64(t[9:], l.Cost.PerUnit)
+	t[17] = boolByte(p.LinkAlive(id))
+	copy(t[18:], far[:])
+	return sha256.Sum256(t[:])
+}
+
+// linkSignature hashes one link in color space for the final digest.
+func (p *Platform) linkSignature(id int, colors []Fingerprint) Fingerprint {
+	l := &p.links[id]
+	var t [linkTupleLen]byte
+	t[0] = 'L'
+	copy(t[1:], colors[l.From][:])
+	copy(t[33:], colors[l.To][:])
+	putF64(t[65:], l.Cost.Latency)
+	putF64(t[73:], l.Cost.PerUnit)
+	t[81] = boolByte(p.LinkAlive(id))
+	return sha256.Sum256(t[:])
 }
 
 // CanonicalEncoding returns a deterministic byte encoding of the platform's
@@ -182,34 +208,9 @@ func (p *Platform) CanonicalEncoding() []byte {
 	return out
 }
 
-// hashTuple hashes a tag byte followed by the given fields, each field being
-// either a [sha256.Size]byte slice, an 8-byte float encoding, or a single
-// byte.
-func hashTuple(tag byte, fields ...interface{}) Fingerprint {
-	h := sha256.New()
-	h.Write([]byte{tag})
-	for _, fld := range fields {
-		switch v := fld.(type) {
-		case []byte:
-			h.Write(v)
-		case [8]byte:
-			h.Write(v[:])
-		case byte:
-			h.Write([]byte{v})
-		default:
-			panic(fmt.Sprintf("platform: unsupported hash field %T", fld))
-		}
-	}
-	var out Fingerprint
-	h.Sum(out[:0])
-	return out
-}
-
-// f64 encodes a float bit-exactly for hashing.
-func f64(v float64) [8]byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
-	return buf
+// putF64 encodes a float bit-exactly for hashing.
+func putF64(b []byte, v float64) {
+	binary.BigEndian.PutUint64(b, math.Float64bits(v))
 }
 
 func boolByte(b bool) byte {
@@ -219,18 +220,17 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// countClasses returns the number of distinct colors.
-func countClasses(colors []Fingerprint) int {
-	seen := make(map[Fingerprint]struct{}, len(colors))
+// countClasses returns the number of distinct colors, using seen as
+// scratch.
+func countClasses(colors []Fingerprint, seen map[Fingerprint]struct{}) int {
+	clear(seen)
 	for _, c := range colors {
 		seen[c] = struct{}{}
 	}
 	return len(seen)
 }
 
-// sortFingerprints sorts a slice of fingerprints lexicographically.
-func sortFingerprints(fs []Fingerprint) {
-	sort.Slice(fs, func(i, j int) bool {
-		return bytes.Compare(fs[i][:], fs[j][:]) < 0
-	})
+// compareFingerprints orders fingerprints lexicographically.
+func compareFingerprints(a, b Fingerprint) int {
+	return bytes.Compare(a[:], b[:])
 }

@@ -2,7 +2,12 @@ package platform
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -213,4 +218,211 @@ func isIdentity(perm []int) bool {
 		}
 	}
 	return true
+}
+
+// referenceFingerprint is the original boxed-field formulation of
+// Fingerprint: one fresh hasher per tuple, every field passed through
+// interface{}, sort.Slice over colors. It is kept as the oracle the
+// allocation-free implementation must reproduce byte for byte.
+func referenceFingerprint(p *Platform) Fingerprint {
+	n := p.NumNodes()
+	colors := make([]Fingerprint, n)
+	for u := 0; u < n; u++ {
+		nd := p.Node(u)
+		colors[u] = refHashTuple('N',
+			refF64(nd.Send.Latency), refF64(nd.Send.PerUnit),
+			refF64(nd.Recv.Latency), refF64(nd.Recv.PerUnit),
+			boolByte(p.NodeAlive(u)))
+	}
+	refCount := func(cs []Fingerprint) int {
+		seen := make(map[Fingerprint]struct{}, len(cs))
+		for _, c := range cs {
+			seen[c] = struct{}{}
+		}
+		return len(seen)
+	}
+	prevClasses := refCount(colors)
+	next := make([]Fingerprint, n)
+	for round := 0; round < n; round++ {
+		for u := 0; u < n; u++ {
+			var sigs []Fingerprint
+			for _, id := range p.OutLinkIDs(u) {
+				l := p.Link(id)
+				sigs = append(sigs, refHashTuple('>',
+					refF64(l.Cost.Latency), refF64(l.Cost.PerUnit),
+					boolByte(p.LinkAlive(id)), colors[l.To][:]))
+			}
+			for _, id := range p.InLinkIDs(u) {
+				l := p.Link(id)
+				sigs = append(sigs, refHashTuple('<',
+					refF64(l.Cost.Latency), refF64(l.Cost.PerUnit),
+					boolByte(p.LinkAlive(id)), colors[l.From][:]))
+			}
+			refSort(sigs)
+			h := sha256.New()
+			h.Write(colors[u][:])
+			for _, s := range sigs {
+				h.Write(s[:])
+			}
+			h.Sum(next[u][:0])
+		}
+		colors, next = next, colors
+		classes := refCount(colors)
+		if classes == prevClasses {
+			break
+		}
+		prevClasses = classes
+	}
+
+	h := sha256.New()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], math.Float64bits(p.SliceSize()))
+	h.Write(buf[:])
+	binary.BigEndian.PutUint64(buf[:], uint64(n))
+	h.Write(buf[:])
+	binary.BigEndian.PutUint64(buf[:], uint64(p.NumLinks()))
+	h.Write(buf[:])
+	sorted := append([]Fingerprint(nil), colors...)
+	refSort(sorted)
+	for _, c := range sorted {
+		h.Write(c[:])
+	}
+	linkSigs := make([]Fingerprint, p.NumLinks())
+	for id := range linkSigs {
+		l := p.Link(id)
+		linkSigs[id] = refHashTuple('L',
+			colors[l.From][:], colors[l.To][:],
+			refF64(l.Cost.Latency), refF64(l.Cost.PerUnit),
+			boolByte(p.LinkAlive(id)))
+	}
+	refSort(linkSigs)
+	for _, s := range linkSigs {
+		h.Write(s[:])
+	}
+	var out Fingerprint
+	h.Sum(out[:0])
+	return out
+}
+
+// ReferenceFingerprint exposes the oracle to the registry-wide differential
+// in package platform_test.
+var ReferenceFingerprint = referenceFingerprint
+
+func refHashTuple(tag byte, fields ...interface{}) Fingerprint {
+	h := sha256.New()
+	h.Write([]byte{tag})
+	for _, fld := range fields {
+		switch v := fld.(type) {
+		case []byte:
+			h.Write(v)
+		case [8]byte:
+			h.Write(v[:])
+		case byte:
+			h.Write([]byte{v})
+		default:
+			panic(fmt.Sprintf("unsupported hash field %T", fld))
+		}
+	}
+	var out Fingerprint
+	h.Sum(out[:0])
+	return out
+}
+
+func refF64(v float64) [8]byte {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
+	return buf
+}
+
+func refSort(fs []Fingerprint) {
+	sort.Slice(fs, func(i, j int) bool { return bytes.Compare(fs[i][:], fs[j][:]) < 0 })
+}
+
+// randomDelta draws one applicable mutation of p: a cost drift, a link or
+// node going down, or a downed one coming back.
+func randomDelta(p *Platform, rng *rand.Rand) Delta {
+	for {
+		switch rng.Intn(5) {
+		case 0:
+			return Delta{Kind: DeltaScaleLink, Link: rng.Intn(p.NumLinks()), Factor: 0.5 + rng.Float64()}
+		case 1:
+			if id := rng.Intn(p.NumLinks()); p.LinkAlive(id) {
+				return Delta{Kind: DeltaLinkDown, Link: id}
+			}
+		case 2:
+			if id := rng.Intn(p.NumLinks()); !p.LinkAlive(id) {
+				return Delta{Kind: DeltaLinkUp, Link: id}
+			}
+		case 3:
+			if u := rng.Intn(p.NumNodes()); p.NodeAlive(u) && p.NumAliveNodes() > 2 {
+				return Delta{Kind: DeltaNodeDown, Node: u}
+			}
+		case 4:
+			if u := rng.Intn(p.NumNodes()); !p.NodeAlive(u) {
+				return Delta{Kind: DeltaNodeUp, Node: u}
+			}
+		}
+	}
+}
+
+// TestFingerprintMatchesReference pins the allocation-free refinement to the
+// reference formulation: identical digests on random platforms of several
+// sizes, along random delta chains, and across a JSON export/re-import.
+func TestFingerprintMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 17, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			p := New(n)
+			if n >= 2 {
+				p = randomTestPlatform(n, seed)
+			}
+			if got, want := p.Fingerprint(), referenceFingerprint(p); got != want {
+				t.Fatalf("n=%d seed=%d: fingerprint %s, reference %s", n, seed, got, want)
+			}
+			if n < 2 {
+				continue
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 12; step++ {
+				d := randomDelta(p, rng)
+				if _, err := p.ApplyDelta(d); err != nil {
+					t.Fatalf("n=%d seed=%d step %d: %v: %v", n, seed, step, d, err)
+				}
+				if got, want := p.Fingerprint(), referenceFingerprint(p); got != want {
+					t.Fatalf("n=%d seed=%d after %d deltas (%v): fingerprint %s, reference %s", n, seed, step+1, d, got, want)
+				}
+			}
+			exp1, err := p.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var q Platform
+			if err := q.UnmarshalJSON(exp1); err != nil {
+				t.Fatal(err)
+			}
+			exp2, err := q.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(exp1, exp2) {
+				t.Fatalf("n=%d seed=%d: JSON export does not round-trip", n, seed)
+			}
+			// The JSON form carries no live masks, so compare the
+			// re-imported platform against the reference on its own state.
+			if got, want := q.Fingerprint(), referenceFingerprint(&q); got != want {
+				t.Fatalf("n=%d seed=%d: re-imported fingerprint %s, reference %s", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestFingerprintAllocs bounds the refinement's allocations: the scratch
+// buffers are sized once per call, so the count does not grow with the
+// platform or the number of refinement rounds.
+func TestFingerprintAllocs(t *testing.T) {
+	for _, n := range []int{16, 96, 256} {
+		p := randomTestPlatform(n, 3)
+		if allocs := testing.AllocsPerRun(5, func() { p.Fingerprint() }); allocs > 64 {
+			t.Errorf("n=%d: Fingerprint allocates %.0f times, want <= 64", n, allocs)
+		}
+	}
 }

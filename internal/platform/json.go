@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -21,15 +22,27 @@ func (p *Platform) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler. The adjacency index is rebuilt
-// and the link list is validated.
+// UnmarshalJSON implements json.Unmarshaler. Decoding is strict: unknown
+// fields anywhere in the platform are rejected, as are a negative slice size
+// and invalid (negative or non-finite) node or link costs. A missing or zero
+// slice size means DefaultSliceSize. The adjacency index is rebuilt.
 func (p *Platform) UnmarshalJSON(data []byte) error {
 	var in platformJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
 		return err
 	}
+	if in.SliceSize < 0 {
+		return fmt.Errorf("platform: invalid slice size %v", in.SliceSize)
+	}
 	np := New(len(in.Nodes))
-	copy(np.nodes, in.Nodes)
+	for u, nd := range in.Nodes {
+		if !nd.Send.Valid() || !nd.Recv.Valid() {
+			return fmt.Errorf("%w: node %d: send %+v, recv %+v", ErrInvalidCost, u, nd.Send, nd.Recv)
+		}
+		np.nodes[u] = nd
+	}
 	if in.SliceSize > 0 {
 		np.sliceSize = in.SliceSize
 	}

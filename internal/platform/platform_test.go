@@ -308,6 +308,33 @@ func TestJSONUnmarshalRejectsBadLinks(t *testing.T) {
 	}
 }
 
+// TestJSONUnmarshalStrict pins strict platform decoding: a misspelled field
+// at any depth, a negative slice size or an invalid node cost is an error,
+// never a silently defaulted platform.
+func TestJSONUnmarshalStrict(t *testing.T) {
+	link := `"links":[{"from":0,"to":1,"cost":{"latency":0,"perUnit":1}}]`
+	for name, body := range map[string]string{
+		"unknown top-level field": `{"nodes":[{},{}],` + link + `,"sliceSise":5}`,
+		"unknown cost field":      `{"nodes":[{},{}],"links":[{"from":0,"to":1,"cost":{"latncy":3,"perUnit":1}}]}`,
+		"unknown node field":      `{"nodes":[{"sned":{}},{}],` + link + `}`,
+		"negative slice size":     `{"nodes":[{},{}],` + link + `,"sliceSize":-3}`,
+		"negative node cost":      `{"nodes":[{"send":{"latency":-5}},{}],` + link + `}`,
+		"negative recv cost":      `{"nodes":[{},{"recv":{"perUnit":-1}}],` + link + `}`,
+	} {
+		var p Platform
+		if err := json.Unmarshal([]byte(body), &p); err == nil {
+			t.Errorf("%s: accepted %s", name, body)
+		}
+	}
+	var p Platform
+	if err := json.Unmarshal([]byte(`{"nodes":[{},{}],`+link+`}`), &p); err != nil {
+		t.Fatalf("valid platform rejected: %v", err)
+	}
+	if p.SliceSize() != DefaultSliceSize {
+		t.Errorf("omitted slice size decoded as %v, want %v", p.SliceSize(), DefaultSliceSize)
+	}
+}
+
 func TestJSONPropertyRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

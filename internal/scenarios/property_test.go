@@ -1,9 +1,11 @@
 package scenarios
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/heuristics"
+	"repro/internal/maxflow"
 	"repro/internal/model"
 	"repro/internal/steady"
 	"repro/internal/throughput"
@@ -129,5 +131,47 @@ func TestRoutingThroughputBoundedByOptimum(t *testing.T) {
 		if tp > opt.Throughput*(1+1e-6)+1e-9 {
 			t.Errorf("%s: routed binomial throughput %v exceeds LP optimum %v", name, tp, opt.Throughput)
 		}
+	}
+}
+
+// TestThroughputCarriedByEdgeRates pins the converged exit of the cutting-
+// plane loop: the reported throughput never exceeds what the solution's own
+// edge rates deliver to the worst-served destination. On star n=256 seed 200
+// the loop converges with one destination's max-flow a hair below the master
+// value (its cut row already sits in the master with a perturbed RHS), so
+// reporting the master value would overstate the throughput.
+func TestThroughputCarriedByEdgeRates(t *testing.T) {
+	s, err := Get("star")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Generate(256, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const source = 0
+	sol, err := steady.Solve(p, source, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := maxflow.New(p.NumNodes())
+	for id := 0; id < p.NumLinks(); id++ {
+		l := p.Link(id)
+		nw.AddEdge(l.From, l.To, sol.EdgeRate[id])
+	}
+	minFlow := math.Inf(1)
+	for w := 0; w < p.NumNodes(); w++ {
+		if w == source {
+			continue
+		}
+		nw.Reset()
+		minFlow = math.Min(minFlow, nw.MaxFlow(source, w))
+	}
+	if sol.Throughput > minFlow {
+		t.Fatalf("throughput %.12g exceeds the smallest destination max-flow %.12g over EdgeRate (by %.3g relative)",
+			sol.Throughput, minFlow, (sol.Throughput-minFlow)/minFlow)
+	}
+	if sol.UpperBound < sol.Throughput {
+		t.Fatalf("upper bound %v below throughput %v", sol.UpperBound, sol.Throughput)
 	}
 }

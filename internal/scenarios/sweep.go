@@ -84,7 +84,7 @@ type SweepConfig struct {
 	// Planner, when non-nil, routes the per-unit steady-state solves through
 	// the given planning engine: platforms already planned (in this sweep or
 	// by any earlier request against the same engine) are answered from its
-	// fingerprint-keyed cache instead of being re-solved. Nil gives the
+	// content-keyed cache instead of being re-solved. Nil gives the
 	// sweep a private engine, so repeated sweeps over the same seeds still
 	// hit within one Sweep call's engine only.
 	Planner *service.Engine
@@ -422,7 +422,7 @@ func evaluateUnit(cfg SweepConfig, churn churnSettings, u unit, heur []string) [
 	// The steady-state reference solve goes through the planning engine:
 	// a platform already planned — by an earlier unit, an earlier sweep over
 	// the same engine, or any service request — is answered from the
-	// fingerprint-keyed cache instead of being re-solved.
+	// content-keyed cache instead of being re-solved.
 	res, err := cfg.Planner.Plan(service.PlanRequest{
 		Platform:        p,
 		Source:          cfg.Source,

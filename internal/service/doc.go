@@ -2,13 +2,19 @@
 // bcast-serve CLI: a long-running façade over the steady-state solver and the
 // tree heuristics that reuses solved work across requests.
 //
-// Every incoming platform is reduced to its canonical content fingerprint
-// (platform.Fingerprint: permutation-invariant, byte-stable across runs).
-// The engine keys an LRU cache of solved plans — and of warm steady.Session
-// handles — on that fingerprint:
+// The engine keeps an LRU cache of solved plans — and of warm
+// steady.Session handles — keyed exactly: the request parameters plus the
+// SHA-256 of the platform's canonical encoding in its own numbering. A
+// lookup hashes that encoding first and needs nothing else on a hit. Only a
+// miss computes the platform's canonical content fingerprint
+// (platform.Fingerprint: permutation-invariant, byte-stable across runs),
+// once, outside the engine lock; the fingerprint indexes the entry so that
+// renumbered twins are counted as such and delta requests can name their
+// base by it.
 //
 //   - A repeated identical request is answered from the cache with the
-//     byte-identical marshaled plan, without touching the solver.
+//     byte-identical marshaled plan, without touching the solver or
+//     refining the fingerprint.
 //
 //   - Concurrent identical requests are collapsed into one solve
 //     (singleflight): the first request computes, the others wait on it and

@@ -250,6 +250,11 @@ func TestHTTPMalformedJSONStructured400(t *testing.T) {
 		{"unknown field", `{"sauce": 0}`},
 		{"trailing garbage", `{"source": 0} {"more": 1}`},
 		{"trailing junk bytes", `{"source": 0} ???`},
+		// Platform fields are decoded as strictly as the envelope.
+		{"unknown platform field", `{"platform": {"nodes": [{}, {}], "links": [{"from": 0, "to": 1, "cost": {"perUnit": 1}}], "sliceSise": 5}}`},
+		{"unknown cost field", `{"platform": {"nodes": [{}, {}], "links": [{"from": 0, "to": 1, "cost": {"latncy": 3, "perUnit": 1}}]}}`},
+		{"negative slice size", `{"platform": {"nodes": [{}, {}], "links": [{"from": 0, "to": 1, "cost": {"perUnit": 1}}], "sliceSize": -3}}`},
+		{"negative node cost", `{"platform": {"nodes": [{"send": {"latency": -5}}, {}], "links": [{"from": 0, "to": 1, "cost": {"perUnit": 1}}]}}`},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/churn"} {

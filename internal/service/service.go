@@ -388,11 +388,8 @@ type Stats struct {
 	QueueDepth    int `json:"queueDepth,omitempty"`
 }
 
-// fpKey routes a lookup: the permutation-invariant platform fingerprint
-// plus every request parameter that changes the answer. Renumbered twins
-// share an fpKey.
-type fpKey struct {
-	fp        platform.Fingerprint
+// reqKey is every request parameter that changes the answer.
+type reqKey struct {
 	source    int
 	heuristic string
 	coldLP    bool
@@ -401,13 +398,25 @@ type fpKey struct {
 	trees     int
 }
 
-// cacheKey identifies one cacheable plan exactly: the routing fpKey plus
-// the hash of the platform's exact canonical encoding, which renumbered
-// twins do NOT share — so a cached plan (whose edge rates and trees are
-// expressed in link/node IDs) is never served across a renumbering.
+// cacheKey identifies one cacheable plan exactly: the request parameters
+// plus the hash of the platform's exact canonical encoding, which
+// renumbered twins do NOT share — so a cached plan (whose edge rates and
+// trees are expressed in link/node IDs) is never served across a
+// renumbering. Every lookup starts here: a repeat request needs only this
+// key, never the fingerprint.
 type cacheKey struct {
-	fpKey
+	reqKey
 	exact [32]byte
+}
+
+// fpKey is the permutation-invariant platform fingerprint plus the request
+// parameters. Renumbered twins share an fpKey; it counts twin misses and
+// resolves the base of delta requests. The fingerprint is a pure function
+// of the exact encoding, so an exact key and its fpKey name the same
+// entries.
+type fpKey struct {
+	reqKey
+	fp platform.Fingerprint
 }
 
 // exactHash hashes the platform's exact canonical encoding.
@@ -419,6 +428,7 @@ func exactHash(p *platform.Platform) [32]byte {
 // pinned to the entry's platform state.
 type entry struct {
 	key cacheKey
+	fp  platform.Fingerprint // the platform's fingerprint, for byFP
 
 	ready chan struct{} // closed once plan/err are set
 	// refined is non-nil iff the entry was created by a degraded request:
@@ -446,7 +456,7 @@ type entry struct {
 	sessionP *platform.Platform
 }
 
-// Engine is the concurrent fingerprint-keyed planning engine. It is safe for
+// Engine is the concurrent content-keyed planning engine. It is safe for
 // concurrent use.
 type Engine struct {
 	cfg Config
@@ -476,7 +486,7 @@ type Engine struct {
 	mu    sync.Mutex
 	lru   *list.List                 // guarded by mu; of *entry, most recently used in front
 	byKey map[cacheKey]*list.Element // guarded by mu
-	// byFP indexes the cached entries by routing key; the slice holds more
+	// byFP indexes the cached entries by fingerprint; the slice holds more
 	// than one element only when renumbered twins are cached side by side.
 	byFP  map[fpKey][]*list.Element // guarded by mu
 	stats Stats                     // guarded by mu
@@ -507,7 +517,7 @@ func (e *Engine) Drain() { e.bg.Wait() }
 func (e *Engine) insertLocked(ent *entry) *list.Element {
 	el := e.lru.PushFront(ent)
 	e.byKey[ent.key] = el
-	e.byFP[ent.key.fpKey] = append(e.byFP[ent.key.fpKey], el)
+	e.byFP[ent.fpKey()] = append(e.byFP[ent.fpKey()], el)
 	e.trimLocked()
 	return el
 }
@@ -554,7 +564,8 @@ func (e *Engine) removeLocked(el *list.Element) {
 	ent := el.Value.(*entry)
 	e.lru.Remove(el)
 	delete(e.byKey, ent.key)
-	twins := e.byFP[ent.key.fpKey]
+	fk := ent.fpKey()
+	twins := e.byFP[fk]
 	for i, t := range twins {
 		if t == el {
 			twins = append(twins[:i], twins[i+1:]...)
@@ -562,9 +573,9 @@ func (e *Engine) removeLocked(el *list.Element) {
 		}
 	}
 	if len(twins) == 0 {
-		delete(e.byFP, ent.key.fpKey)
+		delete(e.byFP, fk)
 	} else {
-		e.byFP[ent.key.fpKey] = twins
+		e.byFP[fk] = twins
 	}
 }
 
@@ -763,8 +774,23 @@ func (e *Engine) steadyOptions(req PlanRequest) *steady.Options {
 	return &opts
 }
 
-func (req PlanRequest) fpKey(fp platform.Fingerprint) fpKey {
-	return fpKey{fp: fp, source: req.Source, heuristic: req.Heuristic, coldLP: req.ColdLP, revisedLP: req.RevisedLP, maxIter: req.LPMaxIterations, trees: req.Trees}
+func (req PlanRequest) reqKey() reqKey {
+	return reqKey{source: req.Source, heuristic: req.Heuristic, coldLP: req.ColdLP, revisedLP: req.RevisedLP, maxIter: req.LPMaxIterations, trees: req.Trees}
+}
+
+// fpKey is the entry's twin-routing key.
+func (ent *entry) fpKey() fpKey { return fpKey{reqKey: ent.key.reqKey, fp: ent.fp} }
+
+// newPlan starts the entry's plan with the identity and shape fields every
+// plan carries; the digests were computed once, at lookup.
+func (ent *entry) newPlan(p *platform.Platform) *Plan {
+	return &Plan{
+		Fingerprint: ent.fp.String(),
+		ExactKey:    hex.EncodeToString(ent.key.exact[:]),
+		Source:      ent.key.source,
+		Nodes:       p.NumNodes(),
+		Links:       p.NumLinks(),
+	}
 }
 
 // Plan answers one plan request: from the cache when the platform has been
@@ -850,15 +876,27 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 	if p.NumAliveNodes() < 2 {
 		return nil, ErrTooSmall
 	}
-	fp := p.Fingerprint()
-	key := cacheKey{fpKey: req.fpKey(fp), exact: exactHash(p)}
+	key := cacheKey{reqKey: req.reqKey(), exact: exactHash(p)}
 	if tc != nil {
 		tc.SetIdentity(traceIdentity(key))
 	}
 
 	e.mu.Lock()
+	el, hit := e.byKey[key]
+	var fp platform.Fingerprint
+	if !hit {
+		// Only a miss needs the fingerprint (twin accounting, the byFP
+		// index, the plan body). Refine outside the lock, then look again:
+		// an identical request may have claimed the key meanwhile, and this
+		// one then collapses onto its solve exactly as if it had arrived
+		// after the claim.
+		e.mu.Unlock()
+		fp = p.Fingerprint()
+		e.mu.Lock()
+		el, hit = e.byKey[key]
+	}
 	e.stats.Requests++
-	if el, ok := e.byKey[key]; ok {
+	if hit {
 		ent := el.Value.(*entry)
 		e.lru.MoveToFront(el)
 		// Classify the hit while still under the lock: an entry whose ready
@@ -928,15 +966,15 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 	// requests wait on this solve instead of duplicating it. A renumbered
 	// twin of a cached platform lands here too (same fpKey, different exact
 	// key) and is cached independently — its IDs live in another numbering.
-	twin := len(e.byFP[key.fpKey]) > 0
+	ent := &entry{key: key, fp: fp, ready: make(chan struct{})}
+	twin := len(e.byFP[ent.fpKey()]) > 0
 	if twin {
 		e.stats.TwinMisses++
 	}
-	ent := &entry{key: key, ready: make(chan struct{})}
 	if req.Degraded {
 		ent.refined = make(chan struct{})
 	}
-	el := e.insertLocked(ent)
+	el = e.insertLocked(ent)
 	e.stats.Misses++
 	e.hook(LookupEvent{Miss: true, Twin: twin})
 	e.mu.Unlock()
@@ -946,7 +984,7 @@ func (e *Engine) planPlatform(ctx context.Context, req PlanRequest, p *platform.
 		return e.planDegraded(req, p, ent, el, taken, tc)
 	}
 
-	plan, planJSON, sess, sp, err := e.solve(ctx, req, p, taken, tc)
+	plan, planJSON, sess, sp, err := e.solve(ctx, req, p, ent, taken, tc)
 	e.mu.Lock()
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {
@@ -1002,7 +1040,7 @@ func (e *Engine) abandonHit(ctx context.Context) error {
 // plain blocking way (no shedding, no deadline — the client already has its
 // answer).
 func (e *Engine) planDegraded(req PlanRequest, p *platform.Platform, ent *entry, el *list.Element, taken *takenSession, tc *obs.Trace) (*PlanResult, error) {
-	plan, planJSON, err := e.degradedPlan(req, p)
+	plan, planJSON, err := e.degradedPlan(p, ent)
 	e.mu.Lock()
 	if err != nil {
 		ent.err = err
@@ -1040,25 +1078,18 @@ func (e *Engine) planDegraded(req PlanRequest, p *platform.Platform, ent *entry,
 // It always uses the engine's configured degraded heuristic — the request's
 // own Heuristic (honored by the refinement) may be LP-based, which would pay
 // the very solve degraded mode exists to avoid.
-func (e *Engine) degradedPlan(req PlanRequest, p *platform.Platform) (*Plan, []byte, error) {
+func (e *Engine) degradedPlan(p *platform.Platform, ent *entry) (*Plan, []byte, error) {
 	name := e.cfg.degradedHeuristic()
-	tree, tp, err := buildHeuristic(p, req.Source, name, nil, model.OnePortBidirectional)
+	tree, tp, err := buildHeuristic(p, ent.key.source, name, nil, model.OnePortBidirectional)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: degraded plan: %w", err)
 	}
-	exact := exactHash(p)
-	plan := &Plan{
-		Fingerprint:         p.Fingerprint().String(),
-		ExactKey:            hex.EncodeToString(exact[:]),
-		Source:              req.Source,
-		Nodes:               p.NumNodes(),
-		Links:               p.NumLinks(),
-		Throughput:          tp, // heuristic lower bound until refined
-		Heuristic:           name,
-		Tree:                tree,
-		HeuristicThroughput: tp,
-		Degraded:            true,
-	}
+	plan := ent.newPlan(p)
+	plan.Throughput = tp // heuristic lower bound until refined
+	plan.Heuristic = name
+	plan.Tree = tree
+	plan.HeuristicThroughput = tp
+	plan.Degraded = true
 	planJSON, err := json.Marshal(plan)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: marshal plan: %w", err)
@@ -1078,7 +1109,7 @@ func (e *Engine) refine(ent *entry, req PlanRequest, p *platform.Platform, taken
 	rtc := e.cfg.Tracer.Begin("")
 	rtc.SetIdentity(traceIdentity(ent.key))
 	start := time.Now()
-	plan, planJSON, sess, sp, err := e.solveBackground(req, p, taken)
+	plan, planJSON, sess, sp, err := e.solveBackground(req, p, ent, taken)
 	elapsed := time.Since(start)
 	e.latMu.Lock()
 	e.refineNs.Record(elapsed.Nanoseconds())
@@ -1133,7 +1164,7 @@ type takenSession struct {
 // request-path cold miss: admission-controlled lane acquisition (which may
 // shed), the BeforeSolve hook, then the solver itself under the request
 // context.
-func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platform, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platform, ent *entry, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	waitStart := time.Now()
 	release, err := e.acquire(ctx)
 	wait := time.Since(waitStart)
@@ -1160,23 +1191,23 @@ func (e *Engine) solve(ctx context.Context, req PlanRequest, p *platform.Platfor
 	if e.cfg.Hooks != nil && e.cfg.Hooks.BeforeSolve != nil {
 		e.cfg.Hooks.BeforeSolve()
 	}
-	return e.runSolve(ctx, req, p, taken, tc)
+	return e.runSolve(ctx, req, p, ent, taken, tc)
 }
 
 // solveBackground runs a degraded-mode refinement solve: plain blocking lane
 // acquisition (no queue bound, no shedding, no hooks) and no deadline — the
 // client already received its degraded answer.
-func (e *Engine) solveBackground(req PlanRequest, p *platform.Platform, taken *takenSession) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+func (e *Engine) solveBackground(req PlanRequest, p *platform.Platform, ent *entry, taken *takenSession) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
-	return e.runSolve(context.Background(), req, p, taken, nil)
+	return e.runSolve(context.Background(), req, p, ent, taken, nil)
 }
 
 // runSolve runs the steady-state solver (and the optional heuristic) on its
 // own clone of the platform; the caller holds a solve lane. It returns the
-// plan, its canonical bytes, and a session positioned at the solved state
-// for future delta requests.
-func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Platform, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
+// plan of the entry being solved, its canonical bytes, and a session
+// positioned at the solved state for future delta requests.
+func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Platform, ent *entry, taken *takenSession, tc *obs.Trace) (*Plan, []byte, *steady.Session, *platform.Platform, error) {
 	var sess *steady.Session
 	var sp *platform.Platform
 	if taken != nil {
@@ -1228,22 +1259,15 @@ func (e *Engine) runSolve(ctx context.Context, req PlanRequest, p *platform.Plat
 	}
 	tc.Add(sev)
 
-	exact := exactHash(sp)
-	plan := &Plan{
-		Fingerprint:  sp.Fingerprint().String(),
-		ExactKey:     hex.EncodeToString(exact[:]),
-		Source:       req.Source,
-		Nodes:        sp.NumNodes(),
-		Links:        sp.NumLinks(),
-		Throughput:   sol.Throughput,
-		UpperBound:   sol.UpperBound,
-		EdgeRate:     sol.EdgeRate,
-		LPRounds:     sol.Rounds,
-		LPCuts:       sol.Cuts,
-		LPPivots:     sol.LPIterations,
-		LPWarmPivots: sol.WarmPivots,
-		LPColdPivots: sol.ColdPivots,
-	}
+	plan := ent.newPlan(sp)
+	plan.Throughput = sol.Throughput
+	plan.UpperBound = sol.UpperBound
+	plan.EdgeRate = sol.EdgeRate
+	plan.LPRounds = sol.Rounds
+	plan.LPCuts = sol.Cuts
+	plan.LPPivots = sol.LPIterations
+	plan.LPWarmPivots = sol.WarmPivots
+	plan.LPColdPivots = sol.ColdPivots
 	if req.Heuristic != "" {
 		tree, tp, err := buildHeuristic(sp, req.Source, req.Heuristic, sol.EdgeRate, model.OnePortBidirectional)
 		if err != nil {
@@ -1304,7 +1328,7 @@ func (e *Engine) planFromBase(ctx context.Context, req PlanRequest, tc *obs.Trac
 	// one with BaseExact — guessing would mutate the wrong platform.
 	e.mu.Lock()
 	var el *list.Element
-	cands := e.byFP[req.fpKey(fp)]
+	cands := e.byFP[fpKey{reqKey: req.reqKey(), fp: fp}]
 	switch {
 	case wantExact != nil:
 		for _, c := range cands {

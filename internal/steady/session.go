@@ -518,6 +518,11 @@ func (s *Session) runLoop(ctx context.Context) (*Solution, error) {
 				finalize()
 				return nil, fmt.Errorf("%w: master LP hit its iteration limit before optimality; throughput %v cannot be certified", ErrLPFailed, tp)
 			}
+			// No new cut, yet a destination may still fall short of tp by
+			// less than the separation threshold: its cut row is already in
+			// the master, perturbed by a tiny RHS slack. Report what the
+			// rates carry, as the gap exit below does; UpperBound keeps tp.
+			sol.Throughput = math.Min(tp, supported)
 			finalize()
 			return sol, nil
 		}
